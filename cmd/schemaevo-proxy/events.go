@@ -268,8 +268,10 @@ func (p *Proxy) relayFrames(w io.Writer, fl http.Flusher, resp *http.Response, b
 		if f.id != "" {
 			lastID = f.id
 		}
-		writeFrame(w, fl, injectShard(f, backend))
+		// Count before writing: a watcher that has read the frame must
+		// find it in the counter.
 		p.metrics.eventsRelayed.Add(1)
+		writeFrame(w, fl, injectShard(f, backend))
 		if f.event == "result" {
 			return true, lastID
 		}

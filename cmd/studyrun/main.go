@@ -204,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(selected) > 0 && !selected[e.Key] {
 			continue
 		}
-		text := e.Render(ctx, st)
+		text, _ := st.RunExperiment(ctx, e.Key)
 		if *out != "" {
 			path := filepath.Join(*out, e.Key+".txt")
 			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {

@@ -288,16 +288,16 @@ func Run(ctx context.Context, u *Upload) (*Result, error) {
 		obs.String("history", u.ID[:16]), obs.Int("versions", int64(len(u.History.Versions))))
 	defer span.End()
 
-	// Filter mutates the version slice, so run it on a copy: the upload's
-	// canonical history (and its normalized bytes) must keep every version.
+	// Filtering mutates the version slice, so run it on a copy: the
+	// upload's canonical history (and its normalized bytes) must keep every
+	// version. FilterAnalyze parses each version once, for the filter and
+	// the analysis both.
 	h := *u.History
 	h.Versions = append([]history.Version(nil), u.History.Versions...)
-	dropped := h.Filter()
+	a, dropped, err := history.FilterAnalyze(ctx, &h)
 	if len(h.Versions) == 0 {
 		return nil, ErrNoUsableVersions
 	}
-
-	a, err := history.AnalyzeContext(ctx, &h)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: analyze: %w", err)
 	}

@@ -2,6 +2,7 @@ package study
 
 import (
 	"context"
+	"sync"
 
 	"github.com/schemaevo/schemaevo/internal/obs"
 )
@@ -20,7 +21,8 @@ type Experiment struct {
 
 // Render runs the experiment under the obs span "experiment.<key>", so both
 // the CLI trace and the daemon's stage metrics break latency down per
-// experiment.
+// experiment. It always renders afresh; Study.RunExperiment is the
+// memoised form.
 func (e Experiment) Render(ctx context.Context, s *Study) string {
 	ctx, span := obs.Start(ctx, "experiment."+e.Key)
 	defer span.End()
@@ -80,12 +82,47 @@ func KnownExperiment(key string) bool {
 }
 
 // RunExperiment renders the artifact for one experiment key. It reports
-// ok = false for unknown keys.
+// ok = false for unknown keys. Texts are memoised per Study, so each
+// experiment renders once however many artifacts include it.
 func (s *Study) RunExperiment(ctx context.Context, key string) (text string, ok bool) {
 	for _, e := range experimentTable {
 		if e.Key == key {
-			return e.Render(ctx, s), true
+			return s.render(ctx, e), true
 		}
 	}
 	return "", false
+}
+
+// textMemo holds a Study's rendered experiment texts, keyed by experiment.
+// It fills lazily and is safe for concurrent use; its zero value is ready,
+// so a Study built as a struct literal memoises too.
+type textMemo struct {
+	mu    sync.Mutex
+	texts map[string]string
+}
+
+// render returns e's text from the memo, rendering and memoising it on a
+// miss. A render whose ctx ended is returned but not kept: experiments may
+// answer a cancelled ctx with a placeholder, which a later live render must
+// not see. Two concurrent first renders of one key both run; experiments
+// are deterministic, so either text is the one kept.
+func (s *Study) render(ctx context.Context, e Experiment) string {
+	m := &s.memo
+	m.mu.Lock()
+	text, ok := m.texts[e.Key]
+	m.mu.Unlock()
+	if ok {
+		return text
+	}
+	text = e.Render(ctx, s)
+	if ctx.Err() != nil {
+		return text
+	}
+	m.mu.Lock()
+	if m.texts == nil {
+		m.texts = map[string]string{}
+	}
+	m.texts[e.Key] = text
+	m.mu.Unlock()
+	return text
 }

@@ -23,7 +23,9 @@ func (s *Study) HTMLReport(ctx context.Context) (string, error) {
 
 // WriteHTMLReport streams the report into w as the template executes — the
 // chunked form of HTMLReport the serving layer uses to bound per-request
-// memory. Bytes are identical to HTMLReport().
+// memory. Bytes are identical to HTMLReport(). Experiment sections come
+// from the Study's memo, so a report rendered after the experiments costs
+// no second render of any of them.
 func (s *Study) WriteHTMLReport(ctx context.Context, w io.Writer) error {
 	type section struct {
 		Title string

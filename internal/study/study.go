@@ -43,6 +43,11 @@ type Study struct {
 	Measures []core.Measures
 	Analyses map[string]*history.Analysis
 	ByTaxon  map[core.Taxon][]core.Measures
+
+	// memo caches rendered experiment texts (RunExperiment, Everything and
+	// the HTML report read through it). The fields above must not change
+	// once anything has rendered.
+	memo textMemo
 }
 
 // Options tunes pipeline execution without affecting its output.

@@ -403,11 +403,12 @@ func (s *Study) RunForeignKeys(ctx context.Context) string {
 		"FK churn is measured separately and never counts toward activity.\n\n" + tb.String()
 }
 
-// Everything runs all experiment drivers in presentation order.
+// Everything returns every experiment text in presentation order, each
+// read from (or rendered into) the Study's memo.
 func (s *Study) Everything(ctx context.Context) []string {
 	out := make([]string, 0, len(experimentTable))
 	for _, e := range experimentTable {
-		out = append(out, e.Render(ctx, s))
+		out = append(out, s.render(ctx, e))
 	}
 	return out
 }
