@@ -239,6 +239,12 @@ func TestStoreFaultDegrades(t *testing.T) {
 			if s.StoreHits != 0 {
 				t.Errorf("store_hits = %d, want 0", s.StoreHits)
 			}
+			// The degrade schedules a write-behind save into dir; wait it out
+			// so the save neither races the temp-dir cleanup nor goes unchecked.
+			srv.SyncStore()
+			if s := srv.Metrics().Snapshot(); s.StoreSaves != 1 {
+				t.Errorf("store_saves = %d, want 1 (the re-persist after the degrade)", s.StoreSaves)
+			}
 		})
 	}
 }
