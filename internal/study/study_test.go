@@ -323,10 +323,7 @@ func TestGranularityStability(t *testing.T) {
 	// profile; squashing within a day must leave the vast majority of
 	// projects in their taxon.
 	s := getStudy(t)
-	rows, err := s.Granularity(context.Background(), []time.Duration{0, 24 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := s.Granularity([]time.Duration{0, 24 * time.Hour})
 	if rows[0].Moved != 0 {
 		t.Errorf("zero-window squash moved %d projects", rows[0].Moved)
 	}
@@ -451,10 +448,7 @@ func TestSVGFigures(t *testing.T) {
 
 func TestForecastAccuracyImprovesWithHorizon(t *testing.T) {
 	s := getStudy(t)
-	rows, err := s.Forecast(context.Background(), []float64{0.25, 0.5, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := s.Forecast([]float64{0.25, 0.5, 1.0})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
