@@ -607,6 +607,30 @@ func BenchmarkStageHistoryAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkStageHistoryAnalyzeAll is the whole history.analyze stage as
+// study.New runs it: history.AnalyzeAll over seed 1's 195 study histories
+// on the default worker pool.
+func BenchmarkStageHistoryAnalyzeAll(b *testing.B) {
+	s := setup(b)
+	var hists []*history.History
+	for _, p := range s.Corpus {
+		if p.Intended != core.HistoryLess {
+			hists = append(hists, p.Hist)
+		}
+	}
+	if len(hists) != 195 {
+		b.Fatalf("%d study histories, want 195", len(hists))
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := history.AnalyzeAll(ctx, hists, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkStageMeasureClassify(b *testing.B) {
 	s := setup(b)
 	b.ResetTimer()

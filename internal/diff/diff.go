@@ -212,6 +212,12 @@ func (cp *Computer) Compute(old, new *schema.Schema) *Delta {
 }
 
 func (cp *Computer) diffTable(d *Delta, tname string, old, new *schema.Table) {
+	// A table against itself changes nothing in any category. Versions
+	// parsed through one sqlparse.Memo share each repeated table, so this
+	// skips most surviving tables of a transition.
+	if old == new {
+		return
+	}
 	cp.oldCols = colEntries(cp.oldCols[:0], old)
 	cp.newCols = colEntries(cp.newCols[:0], new)
 

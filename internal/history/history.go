@@ -139,12 +139,12 @@ func (h *History) Filter() int {
 func (h *History) filterParsed() (int, []*sqlparse.Result) {
 	kept := h.Versions[:0]
 	var parsed []*sqlparse.Result
-	d := h.dialect()
+	memo := sqlparse.NewMemo(h.dialect())
 	for _, v := range h.Versions {
 		if len(v.SQL) == 0 {
 			continue
 		}
-		res := sqlparse.ParseDialect(v.SQL, d)
+		res := memo.Parse(v.SQL)
 		if !res.HasCreateTable() {
 			continue
 		}
@@ -263,7 +263,10 @@ type Transition struct {
 // Analysis is a fully processed schema history: the parsed schema of every
 // version and the transition chain.
 type Analysis struct {
-	History     *History
+	History *History
+	// Schemas holds the parsed schema of every version. Versions that
+	// repeat a CREATE TABLE statement share its read-only *schema.Table
+	// (see sqlparse.Memo), so Clone a schema before mutating it.
 	Schemas     []*schema.Schema
 	Transitions []Transition
 	// ParseErrors counts statements skipped by the tolerant parser over the
@@ -292,9 +295,11 @@ func AnalyzeContext(ctx context.Context, h *History) (*Analysis, error) {
 	}
 	_, parseSpan := obs.Start(ctx, "sqlparse.parse")
 	parsed := make([]*sqlparse.Result, len(h.Versions))
-	d := h.dialect()
+	// One memo per history: versions repeat most statements of the one
+	// before, and each analysis (= each pool worker) owns its memo.
+	memo := sqlparse.NewMemo(h.dialect())
 	for i, v := range h.Versions {
-		parsed[i] = sqlparse.ParseDialect(v.SQL, d)
+		parsed[i] = memo.Parse(v.SQL)
 	}
 	parseSpan.SetAttr(obs.Int("bytes", sqlBytes(h)))
 	parseSpan.End()

@@ -55,10 +55,14 @@ func normalizeTrimmed(c byte) bool {
 
 // AddTable appends t to the schema. If a table with the same normalized name
 // already exists it is replaced in place, matching the semantics of
-// re-declaring a table in a DDL dump (the last declaration wins).
+// re-declaring a table in a DDL dump (the last declaration wins). A table
+// whose cached name is current is not written to, so one read-only table
+// can be added to many schemas.
 func (s *Schema) AddTable(t *Table) {
 	key := Normalize(t.Name)
-	t.norm = key
+	if t.norm != key {
+		t.norm = key
+	}
 	for i, existing := range s.Tables {
 		if existing.NormName() == key {
 			s.Tables[i] = t
@@ -331,7 +335,9 @@ func NewTable(name string) *Table {
 // first use for tables built outside NewTable/AddTable.
 func (t *Table) NormName() string {
 	if t.norm == "" {
-		t.norm = Normalize(t.Name)
+		if n := Normalize(t.Name); n != "" {
+			t.norm = n
+		}
 	}
 	return t.norm
 }
@@ -460,7 +466,9 @@ type Column struct {
 // cache replaces millions of Normalize calls per pipeline run.
 func (c *Column) NormName() string {
 	if c.norm == "" {
-		c.norm = Normalize(c.Name)
+		if n := Normalize(c.Name); n != "" {
+			c.norm = n
+		}
 	}
 	return c.norm
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -90,7 +91,9 @@ func TestPprofMounted(t *testing.T) {
 
 // TestServerStageMetrics: a pipeline run through the normal study path must
 // populate the schemaevo_stage_* families in /metrics via the server's
-// shared metrics-only tracer.
+// shared metrics-only tracer. That registry is process-wide, so the check
+// is on the run's delta: exactly one more history.analyze observation and
+// run, however many runs earlier tests (or -count) left behind.
 func TestServerStageMetrics(t *testing.T) {
 	runner := func(ctx context.Context, seed int64) (*study.Study, error) {
 		_, span := obs.Start(ctx, "history.analyze")
@@ -102,19 +105,42 @@ func TestServerStageMetrics(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	series := []string{
+		`schemaevo_stage_duration_seconds_count{stage="history.analyze"}`,
+		`schemaevo_stage_runs_total{stage="history.analyze"}`,
+	}
+	_, before, _ := get(t, ts, "/metrics")
 	if code, body, _ := get(t, ts, "/v1/study/3/export.csv"); code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	_, body, _ := get(t, ts, "/metrics")
-	for _, want := range []string{
-		"# TYPE schemaevo_stage_duration_seconds histogram",
-		`schemaevo_stage_duration_seconds_count{stage="history.analyze"} 1`,
-		`schemaevo_stage_runs_total{stage="history.analyze"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q\n%s", want, body)
+	_, after, _ := get(t, ts, "/metrics")
+	if !strings.Contains(after, "# TYPE schemaevo_stage_duration_seconds histogram") {
+		t.Errorf("/metrics missing the stage histogram family\n%s", after)
+	}
+	for _, name := range series {
+		b, a := sampleValue(t, before, name), sampleValue(t, after, name)
+		if a-b != 1 {
+			t.Errorf("%s went %d -> %d over one run, want +1\n%s", name, b, a, after)
 		}
 	}
+}
+
+// sampleValue returns the integer value of the exposition sample named
+// exactly name, or 0 when the body has no such sample yet.
+func sampleValue(t *testing.T, body, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		v, ok := strings.CutPrefix(line, name+" ")
+		if !ok {
+			continue
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: value %q: %v", name, v, err)
+		}
+		return n
+	}
+	return 0
 }
 
 // TestOrphanedRunMetrics: a request that times out while its flight keeps

@@ -81,7 +81,8 @@ func (s *Server) RunStoreScrub(ctx context.Context) (store.ScrubResult, error) {
 // StartGC launches the periodic background retention sweep and reports
 // whether a loop was actually started. It is a no-op — returning false —
 // when the policy bounds nothing, the interval is zero, or the store has no
-// lifecycle surface. The loop stops when ctx is canceled.
+// lifecycle surface. The loop stops when ctx is canceled; WaitGC waits for
+// it to have stopped.
 func (s *Server) StartGC(ctx context.Context) bool {
 	if !s.opts.GC.Enabled() || s.opts.GCInterval <= 0 {
 		return false
@@ -89,7 +90,9 @@ func (s *Server) StartGC(ctx context.Context) bool {
 	if _, err := s.lifecycler(); err != nil {
 		return false
 	}
+	s.gcWG.Add(1)
 	go func() {
+		defer s.gcWG.Done()
 		for {
 			timer := time.NewTimer(jitter(s.opts.GCInterval))
 			select {
@@ -106,6 +109,12 @@ func (s *Server) StartGC(ctx context.Context) bool {
 	}()
 	return true
 }
+
+// WaitGC blocks until every loop StartGC launched has exited: its context
+// is canceled and the sweep it was running, if any, has returned. The
+// graceful-shutdown path calls it so no sweep still writes to the store
+// once the daemon has stopped.
+func (s *Server) WaitGC() { s.gcWG.Wait() }
 
 // jitter stretches d by a uniform 0–10% so daemons sharing a store directory
 // (or a fleet restarted together) don't sweep in lockstep.

@@ -238,8 +238,13 @@ func TestStartGC(t *testing.T) {
 		}
 	}
 	loopCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	srv := New(Options{Store: d, GC: store.GCPolicy{MaxSnapshots: 1}, GCInterval: 10 * time.Millisecond})
+	// Stop the loop and wait for it before t.TempDir is removed: a sweep
+	// still running then would write into a directory being deleted.
+	defer func() {
+		cancel()
+		srv.WaitGC()
+	}()
 	if !srv.StartGC(loopCtx) {
 		t.Fatal("StartGC did not start despite policy, interval and disk store")
 	}

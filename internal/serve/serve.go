@@ -146,6 +146,9 @@ type Server struct {
 	persistingHist map[int64]bool
 	persistWG      sync.WaitGroup
 
+	// gcWG tracks the background retention loops StartGC launched.
+	gcWG sync.WaitGroup
+
 	// render produces a study's complete artifact set for the write-behind.
 	// It is renderAll in production; tests substitute a stub so persistence
 	// mechanics can be exercised without paying for real renders.
@@ -670,6 +673,9 @@ func serveListener(ctx context.Context, ln net.Listener, srv *Server, drain time
 	// next daemon generation starts warm from whatever this one finished
 	// computing, and abandoning a save wastes the render it already paid for.
 	srv.SyncStore()
+	// ctx is done, so the retention loop is exiting; wait until no sweep
+	// is still touching the store.
+	srv.WaitGC()
 	if err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)
 	}

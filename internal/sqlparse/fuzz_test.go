@@ -1,15 +1,18 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzParse drives the tolerant parser with arbitrary input. The invariants:
 // never panic, always terminate, always return a usable (possibly empty)
-// schema, and never report more CREATE TABLEs than statements. The seed
-// corpus covers every statement family; `go test` replays it as unit tests
-// and `go test -fuzz=FuzzParse` explores further.
+// schema, and never report more CREATE TABLEs than statements. It is also
+// the statement memo's oracle: the input and each seed input, parsed in
+// order through one Memo (either way round), must both equal plain
+// ParseDialect. The seed corpus covers every statement family; `go test`
+// replays it as unit tests and `go test -fuzz=FuzzParse` explores further.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -64,12 +67,34 @@ func FuzzParse(f *testing.F) {
 			if strict.CreateTables > res.CreateTables {
 				t.Fatalf("%s: strict found %d tables, tolerant %d", d.Name(), strict.CreateTables, res.CreateTables)
 			}
+			for _, seed := range seeds {
+				want := ParseDialect(seed, d)
+				checkMemo(t, d, seed, want, src, res)
+				checkMemo(t, d, src, res, seed, want)
+			}
 		}
 		// Detection is total and deterministic on arbitrary bytes.
 		if d1, d2 := Detect(src), Detect(src); d1 != d2 {
 			t.Fatalf("Detect not deterministic: %s vs %s", d1.Name(), d2.Name())
 		}
 	})
+}
+
+// checkMemo parses a then b through one memo and, only after both are
+// parsed, requires each result to equal its plain ParseDialect result.
+func checkMemo(t *testing.T, d *Dialect, a string, wantA *Result, b string, wantB *Result) {
+	t.Helper()
+	m := NewMemo(d)
+	ra, rb := m.Parse(a), m.Parse(b)
+	for _, c := range []struct {
+		src       string
+		got, want *Result
+	}{{a, ra, wantA}, {b, rb, wantB}} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s: memoised parse of %q (after %q, before %q) differs from ParseDialect\n got %+v\nwant %+v",
+				d.Name(), c.src, a, b, c.got, c.want)
+		}
+	}
 }
 
 // FuzzLexer checks the token stream always terminates and consumes input.

@@ -54,7 +54,12 @@ func ParseModeDialect(src string, mode Mode, d *Dialect) *Result {
 	if d == nil {
 		d = MySQL
 	}
-	p := &parser{lex: NewLexerDialect(src, d), mode: mode, d: d}
+	return parse(src, mode, d, nil)
+}
+
+// parse parses src, through memo when it is not nil.
+func parse(src string, mode Mode, d *Dialect, memo *Memo) *Result {
+	p := &parser{lex: NewLexerDialect(src, d), mode: mode, d: d, memo: memo}
 	p.next()
 	res := &Result{Schema: schema.New()}
 	for p.tok.Kind != TokEOF {
@@ -64,6 +69,8 @@ func ParseModeDialect(src string, mode Mode, d *Dialect) *Result {
 		}
 		res.Statements++
 		switch {
+		case p.tok.kw == kwCREATE && memo != nil:
+			p.parseCreateMemo(res)
 		case p.tok.kw == kwCREATE:
 			p.parseCreate(res)
 		case p.tok.kw == kwDROP:
@@ -91,6 +98,12 @@ type parser struct {
 	// constraintName carries a pending CONSTRAINT <name> prefix to the
 	// element it qualifies.
 	constraintName string
+	// memo, when set, reuses the tables of repeated CREATE TABLE
+	// statements; semiEnd is the source offset just past the last
+	// top-level ';' skipStatement consumed, which tells it where a
+	// statement ended.
+	memo    *Memo
+	semiEnd int
 }
 
 // parseCopy skips a PostgreSQL COPY statement. When the statement ends in
@@ -156,6 +169,7 @@ func (p *parser) skipStatement() {
 				depth--
 			}
 		case p.tok.IsPunct(';') && depth == 0:
+			p.semiEnd = p.lex.pos
 			p.next()
 			return
 		}
@@ -199,7 +213,9 @@ func (p *parser) qualifiedName() (string, bool) {
 
 // --- CREATE ---------------------------------------------------------------
 
-func (p *parser) parseCreate(res *Result) {
+// parseCreate parses one CREATE statement, returning the table it added to
+// the schema, or nil when it added none.
+func (p *parser) parseCreate(res *Result) *schema.Table {
 	p.next() // CREATE
 	// Swallow modifiers: TEMPORARY/TEMP, OR REPLACE.
 	for p.tok.kw == kwTEMPORARY || p.tok.kw == kwTEMP || p.tok.kw == kwOR || p.tok.kw == kwREPLACE {
@@ -209,7 +225,7 @@ func (p *parser) parseCreate(res *Result) {
 		// CREATE DATABASE / INDEX / VIEW / TRIGGER ...: not logical-schema
 		// capacity; skip silently (not an error — these are legitimate).
 		p.skipStatement()
-		return
+		return nil
 	}
 	p.next() // TABLE
 	if p.tok.kw == kwIF {
@@ -224,30 +240,30 @@ func (p *parser) parseCreate(res *Result) {
 	name, ok := p.qualifiedName()
 	if !ok || !hasLetter(name) {
 		p.fail(res, "CREATE TABLE: expected table name")
-		return
+		return nil
 	}
 	// CREATE TABLE x LIKE y; and CREATE TABLE x AS SELECT...: skip — no
 	// explicit column list to measure.
 	if p.tok.kw == kwLIKE || p.tok.kw == kwAS || p.tok.kw == kwSELECT {
 		p.skipStatement()
-		return
+		return nil
 	}
 	if !p.expectPunct('(') {
 		p.fail(res, "CREATE TABLE "+name+": expected '('")
-		return
+		return nil
 	}
 
 	t := schema.NewTable(name)
 	for {
 		if p.tok.Kind == TokEOF {
 			p.fail(res, "CREATE TABLE "+name+": unexpected EOF in element list")
-			return
+			return nil
 		}
 		if p.tok.IsPunct(')') { // tolerate trailing comma / empty list
 			break
 		}
 		if !p.parseTableElement(t, res, name) {
-			return
+			return nil
 		}
 		if p.tok.IsPunct(',') {
 			p.next()
@@ -257,12 +273,13 @@ func (p *parser) parseCreate(res *Result) {
 	}
 	if !p.expectPunct(')') {
 		p.fail(res, "CREATE TABLE "+name+": expected ')'")
-		return
+		return nil
 	}
 	p.parseTableOptions(t)
 	p.skipStatement() // through ';'
 	res.Schema.AddTable(t)
 	res.CreateTables++
+	return t
 }
 
 // parseTableElement parses one comma-separated element of a CREATE TABLE
@@ -830,10 +847,15 @@ func (p *parser) parseAlter(res *Result) {
 		return
 	}
 	t := res.Schema.Table(name)
-	if t == nil {
+	switch {
+	case t == nil:
 		// Altering an unknown table: the file may alter tables created
 		// elsewhere. Tolerate by creating a shell so column adds register.
 		t = schema.NewTable(name)
+		res.Schema.AddTable(t)
+	case p.memo.shares(t):
+		// Copy on write: other versions share the memo's table.
+		t = t.Clone()
 		res.Schema.AddTable(t)
 	}
 	for p.tok.Kind != TokEOF && !p.tok.IsPunct(';') {

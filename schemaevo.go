@@ -251,7 +251,9 @@ type SMO = smo.Op
 // replay-safe order. Applying the sequence to old reproduces new exactly.
 func DeriveSMOs(old, new *Schema) []SMO { return smo.Derive(old, new) }
 
-// ApplySMOs replays an operator sequence onto s.
+// ApplySMOs replays an operator sequence onto s, mutating it. The schemas of
+// an Analysis share read-only tables across versions, so Clone one before
+// replaying onto it.
 func ApplySMOs(s *Schema, ops []SMO) error { return smo.Apply(s, ops) }
 
 // RenderMigration emits the operator sequence as an executable SQL script.
